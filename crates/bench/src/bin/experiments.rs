@@ -22,7 +22,9 @@
 
 use std::path::{Path, PathBuf};
 
-use df_bench::report::{host_artifact, ring_artifact, sweep_artifact, write_artifact};
+use df_bench::report::{
+    host_artifact, ring_artifact, sim_sweep_artifact, sweep_artifact, write_artifact,
+};
 use df_bench::{
     fig31_params, fig42_params, run_core, run_ring, setup, setup_with_page_size, BenchSetup,
 };
@@ -497,7 +499,7 @@ fn fig3_1(s: &BenchSetup, json_dir: Option<&Path>) {
         });
         last_page = Some(page);
     }
-    emit(json_dir, &sweep_artifact("fig3_1", rows));
+    emit(json_dir, &sim_sweep_artifact("fig3_1", rows));
     if let Some(m) = last_page {
         // Bandwidth-demand curves of the widest page-granularity run.
         emit(
@@ -608,7 +610,7 @@ fn fig4_2(s: &BenchSetup, json_dir: Option<&Path>) {
             emit(json_dir, &ring_artifact("fig4_2_series", &params, &m));
         }
     }
-    emit(json_dir, &sweep_artifact("fig4_2", rows));
+    emit(json_dir, &sim_sweep_artifact("fig4_2", rows));
     println!("paper: 40 Mbps sufficient for up to 50 IPs; ~100 Mbps for larger configurations\n");
 }
 

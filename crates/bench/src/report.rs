@@ -138,6 +138,15 @@ pub fn sweep_artifact(name: &str, rows: Vec<SweepRow>) -> BenchArtifact {
     a
 }
 
+/// Build a `sim`-kind artifact: a sweep whose every value is a simulator
+/// model output, so [`BenchArtifact::compare`] holds its rows to exact
+/// equality against a committed baseline.
+pub fn sim_sweep_artifact(name: &str, rows: Vec<SweepRow>) -> BenchArtifact {
+    let mut a = sweep_artifact(name, rows);
+    a.kind = "sim".to_string();
+    a
+}
+
 /// Write an artifact to `dir/BENCH_<name>.json`, creating `dir` if needed.
 /// Returns the path written.
 ///

@@ -96,7 +96,8 @@ pub struct BenchArtifact {
     pub schema_version: u64,
     /// Artifact name; the conventional file name is `BENCH_<name>.json`.
     pub name: String,
-    /// Producer kind: `host`, `ring`, `core`, or `sweep`.
+    /// Producer kind: `host`, `ring`, `core`, `sweep`, `sim` (a sweep of
+    /// simulator model outputs only), or `serve`.
     pub kind: String,
     /// Run configuration as ordered key/value strings (scale, workers, …).
     pub params: Vec<(String, String)>,
@@ -443,8 +444,9 @@ impl BenchArtifact {
     /// Compare a candidate artifact against a baseline. Returns every
     /// failure found (empty = pass).
     ///
-    /// Deterministic counters ([`EXACT_COUNTERS`] and per-query tuple and
-    /// payload counts) must match exactly; wall-clock may regress by at
+    /// Deterministic counters ([`EXACT_COUNTERS`], per-query tuple and
+    /// payload counts, and every sweep row of a `sim` artifact) must match
+    /// exactly; wall-clock may regress by at
     /// most [`CompareOptions::max_regression`] (skipped entirely under
     /// [`CompareOptions::counters_only`], for baselines recorded on a
     /// different machine).
@@ -509,6 +511,27 @@ impl BenchArtifact {
                     "query {}: failed baseline {} vs candidate {}",
                     b.index, b.failed, c.failed
                 ));
+            }
+        }
+        // A `sim` sweep holds simulator model outputs only (simulated
+        // seconds, modelled bytes and rates): a pure function of workload
+        // and machine parameters, so every row must match exactly. Sweeps
+        // of other kinds carry wall-clock values and are not compared.
+        if base.kind == "sim" {
+            if base.sweep.len() != cand.sweep.len() {
+                failures.push(format!(
+                    "sweep rows: baseline {} vs candidate {}",
+                    base.sweep.len(),
+                    cand.sweep.len()
+                ));
+            }
+            for (b, c) in base.sweep.iter().zip(&cand.sweep) {
+                if b != c {
+                    failures.push(format!(
+                        "sweep row `{}`: baseline {:?} vs candidate `{}` {:?}",
+                        b.label, b.values, c.label, c.values
+                    ));
+                }
             }
         }
         if !opts.counters_only && base.elapsed_secs > 0.0 {
@@ -752,6 +775,46 @@ mod tests {
         let mut drifted = cand;
         drifted.counters[1].1 = 31.0;
         assert!(!BenchArtifact::compare(&base, &drifted, &CompareOptions::default()).is_empty());
+    }
+
+    #[test]
+    fn sim_sweep_rows_must_match_exactly_but_serve_rows_need_not() {
+        let row = |secs: f64| SweepRow {
+            label: "procs=4".to_string(),
+            values: vec![("page_secs".to_string(), secs)],
+        };
+        let opts = CompareOptions {
+            counters_only: true,
+            ..CompareOptions::default()
+        };
+        let mut base = BenchArtifact::new("fig3_1", "sim");
+        base.sweep = vec![row(0.25)];
+        assert_eq!(
+            BenchArtifact::compare(&base, &base.clone(), &opts),
+            Vec::<String>::new()
+        );
+        let mut drifted = base.clone();
+        drifted.sweep[0].values[0].1 = 0.250_000_1;
+        let failures = BenchArtifact::compare(&base, &drifted, &opts);
+        assert!(
+            failures.iter().any(|f| f.contains("procs=4")),
+            "{failures:?}"
+        );
+        let mut relabelled = base.clone();
+        relabelled.sweep[0].label = "procs=8".to_string();
+        assert!(!BenchArtifact::compare(&base, &relabelled, &opts).is_empty());
+        let mut truncated = base.clone();
+        truncated.sweep.clear();
+        assert!(!BenchArtifact::compare(&base, &truncated, &opts).is_empty());
+        // Serve sweeps carry wall-clock values: rows may differ freely.
+        let mut serve = base.clone();
+        serve.kind = "serve".to_string();
+        let mut later = serve.clone();
+        later.sweep[0].values[0].1 = 0.5;
+        assert_eq!(
+            BenchArtifact::compare(&serve, &later, &opts),
+            Vec::<String>::new()
+        );
     }
 
     #[test]
