@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use df_query::ops::{
-    dedup_pages_raw, dedup_tuples, join_pages, join_pages_raw, project_page, project_page_raw,
+    dedup_raw, dedup_tuples, join_pages, join_pages_raw, project_page, project_page_raw,
     restrict_page, restrict_page_raw, span_output_schema, span_page_raw, SpanStep,
 };
 use df_relalg::{
@@ -115,7 +115,9 @@ fn operator_kernels(c: &mut Criterion) {
     g.bench_function("decoded", |b| {
         b.iter(|| dedup_tuples(pages.iter().flat_map(|pg| pg.tuples())))
     });
-    g.bench_function("raw", |b| b.iter(|| dedup_pages_raw(&pages[..], &s)));
+    g.bench_function("raw", |b| {
+        b.iter(|| dedup_raw(pages.iter().flat_map(|pg| pg.tuple_refs()), &s))
+    });
     g.finish();
 
     let tuple = p.get(0).expect("tuple");

@@ -7,7 +7,7 @@
 //! node becomes an [`Instruction`] with a [`Kernel`] — the actual operator
 //! code an instruction processor executes on the pages in a work unit.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use df_query::{ops, validate, NodeId, Op, QueryTree};
@@ -85,32 +85,14 @@ impl Kernel {
         }
     }
 
-    /// Execute one page-or-pair work unit.
-    ///
-    /// # Panics
-    /// Panics if called on a [`UnitGen::WholeRelation`] kernel (use
-    /// [`Kernel::run_final`]) or with the wrong operand count.
-    pub fn run_unit(&self, pages: &[&Page]) -> Vec<Tuple> {
-        match self {
-            Kernel::Restrict(p) => ops::restrict_page(pages[0], p),
-            Kernel::Project(proj) => ops::project_page(pages[0], proj),
-            Kernel::Identity => pages[0].tuples().collect(),
-            Kernel::DeleteFilter(p) => pages[0].tuples().filter(|t| p.eval(t)).collect(),
-            Kernel::JoinPair(c, _) => ops::join_pages(pages[0], pages[1], c),
-            Kernel::CrossPair => ops::cross_pages(pages[0], pages[1]),
-            Kernel::Span(steps) => ops::span_page(pages[0], steps),
-            k => panic!("run_unit called on whole-relation kernel {k:?}"),
-        }
-    }
-
     /// Execute one page-or-pair work unit on the zero-copy path: predicates
     /// and join keys are evaluated directly over the encoded tuple images
     /// and surviving images are memcpy'd into the returned batch — nothing
     /// is decoded or re-encoded. `out_schema` is the instruction's output
     /// schema (carried by the compiled [`Instruction`]).
     ///
-    /// Emits exactly the tuples [`Kernel::run_unit`] emits, in the same
-    /// order, with byte-identical images.
+    /// Emits exactly the tuples the decoded `df_query::ops` oracle kernels
+    /// emit, in the same order, with byte-identical images.
     ///
     /// # Panics
     /// Panics if called on a [`UnitGen::WholeRelation`] kernel (use
@@ -140,27 +122,25 @@ impl Kernel {
         }
     }
 
-    /// Execute a whole-relation finalizer over complete inputs.
-    ///
-    /// Set semantics match `df-query::ops` exactly so machine results are
+    /// Zero-copy whole-relation finalizer over complete inputs. Set
+    /// semantics match `df-query::ops` exactly so machine results are
     /// oracle-comparable.
-    pub fn run_final(&self, inputs: &[Vec<&Page>]) -> Vec<Tuple> {
-        self.run_final_bucket(inputs, 0, 1)
-    }
-
-    /// Zero-copy whole-relation finalizer: membership sets hash the raw
-    /// tuple images (the encoding is canonical — images are equal exactly
-    /// when tuples are), so the serial case decodes nothing.
     pub fn run_final_raw(&self, inputs: &[Vec<&Page>], out_schema: &Schema) -> TupleBuf {
         self.run_final_bucket_raw(inputs, 0, 1, out_schema)
     }
 
-    /// One bucket of a whole-relation finalizer on the zero-copy path.
+    /// Execute one *bucket* of a whole-relation finalizer: only tuples whose
+    /// hash lands in `bucket` (of `buckets`) are considered. Hash
+    /// partitioning makes the blocking operators parallelizable — the
+    /// parallel duplicate-elimination algorithm the paper's §5 leaves open:
+    /// duplicates always hash to the same bucket, so per-bucket
+    /// deduplication composes to exact global deduplication.
     ///
-    /// Bucket partitioning (buckets > 1) still decodes each tuple, because
-    /// it must reproduce [`tuple_bucket`] exactly for per-bucket outputs to
-    /// stay byte-identical to the decoded path; dedup membership and output
-    /// construction stay raw regardless.
+    /// The set-operator bodies are `df_query::ops`' raw kernels; this method
+    /// only selects the bucket's tuples on their way in. Selection decodes
+    /// each tuple (buckets > 1 only), because it must reproduce
+    /// [`tuple_bucket`] exactly; membership and output stay raw. With
+    /// `buckets == 1` this is the ordinary serial finalizer.
     pub fn run_final_bucket_raw(
         &self,
         inputs: &[Vec<&Page>],
@@ -175,109 +155,28 @@ impl Kernel {
         let in_bucket = |t: &TupleRef<'_>| -> bool {
             buckets == 1 || tuple_bucket(&t.to_tuple(), buckets) == bucket
         };
+        let operand = |i: usize| {
+            inputs[i]
+                .iter()
+                .flat_map(|p| p.tuple_refs())
+                .filter(in_bucket)
+        };
         match self {
-            Kernel::UnionFinal => {
-                let mut seen: HashSet<&[u8]> = HashSet::new();
-                let mut out = TupleBuf::new(out_schema.clone());
-                for t in inputs[0]
-                    .iter()
-                    .flat_map(|p| p.tuple_refs())
-                    .chain(inputs[1].iter().flat_map(|p| p.tuple_refs()))
-                {
-                    if in_bucket(&t) && seen.insert(t.raw()) {
-                        out.push_ref(&t);
-                    }
-                }
-                out
-            }
-            Kernel::DifferenceFinal => {
-                let exclude: HashSet<&[u8]> = inputs[1]
-                    .iter()
-                    .flat_map(|p| p.tuple_refs())
-                    .filter(&in_bucket)
-                    .map(|t| t.raw())
-                    .collect();
-                let mut seen: HashSet<&[u8]> = HashSet::new();
-                let mut out = TupleBuf::new(out_schema.clone());
-                for t in inputs[0].iter().flat_map(|p| p.tuple_refs()) {
-                    if in_bucket(&t) && !exclude.contains(t.raw()) && seen.insert(t.raw()) {
-                        out.push_ref(&t);
-                    }
-                }
-                out
-            }
+            Kernel::UnionFinal => ops::union_raw(operand(0), operand(1), out_schema),
+            Kernel::DifferenceFinal => ops::difference_raw(operand(0), operand(1), out_schema),
             Kernel::ProjectDedupFinal(proj) => {
-                let mut projected = TupleBuf::new(out_schema.clone());
-                for t in inputs[0].iter().flat_map(|p| p.tuple_refs()) {
-                    projected.push_projected(&t, proj.indices());
-                }
-                let mut seen: HashSet<&[u8]> = HashSet::new();
-                let mut out = TupleBuf::new(out_schema.clone());
-                for t in projected.refs() {
-                    if in_bucket(&t) && seen.insert(t.raw()) {
-                        out.push_ref(&t);
-                    }
-                }
-                out
+                // Two phases: attribute elimination page by page (the
+                // parallelizable part), then duplicate elimination over
+                // the projected tuples — partitioned on the *projected*
+                // tuple, so duplicates collide exactly in one bucket.
+                let projected: Vec<TupleBuf> = inputs[0]
+                    .iter()
+                    .map(|p| ops::project_page_raw(p, proj, out_schema))
+                    .collect();
+                let tuples = projected.iter().flat_map(TupleBuf::refs);
+                ops::dedup_raw(tuples.filter(in_bucket), out_schema)
             }
             k => panic!("run_final_raw called on streaming kernel {k:?}"),
-        }
-    }
-
-    /// Execute one *bucket* of a whole-relation finalizer: only tuples whose
-    /// hash lands in `bucket` (of `buckets`) are considered. Hash
-    /// partitioning makes the blocking operators parallelizable — the
-    /// parallel duplicate-elimination algorithm the paper's §5 leaves open:
-    /// duplicates always hash to the same bucket, so per-bucket
-    /// deduplication composes to exact global deduplication.
-    ///
-    /// With `buckets == 1` this is the ordinary serial finalizer.
-    pub fn run_final_bucket(&self, inputs: &[Vec<&Page>], bucket: u64, buckets: u64) -> Vec<Tuple> {
-        assert!(
-            buckets > 0 && bucket < buckets,
-            "invalid bucket {bucket}/{buckets}"
-        );
-        let in_bucket = |t: &Tuple| -> bool { buckets == 1 || tuple_bucket(t, buckets) == bucket };
-        let tuples_of =
-            |pages: &[&Page]| -> Vec<Tuple> { pages.iter().flat_map(|p| p.tuples()).collect() };
-        match self {
-            Kernel::UnionFinal => {
-                let mut seen = HashSet::new();
-                let mut out = Vec::new();
-                for t in tuples_of(&inputs[0])
-                    .into_iter()
-                    .chain(tuples_of(&inputs[1]))
-                {
-                    if in_bucket(&t) && seen.insert(t.clone()) {
-                        out.push(t);
-                    }
-                }
-                out
-            }
-            Kernel::DifferenceFinal => {
-                let exclude: HashSet<Tuple> = tuples_of(&inputs[1])
-                    .into_iter()
-                    .filter(&in_bucket)
-                    .collect();
-                let mut seen = HashSet::new();
-                let mut out = Vec::new();
-                for t in tuples_of(&inputs[0]) {
-                    if in_bucket(&t) && !exclude.contains(&t) && seen.insert(t.clone()) {
-                        out.push(t);
-                    }
-                }
-                out
-            }
-            Kernel::ProjectDedupFinal(proj) => {
-                // Partition on the *projected* tuple: duplicates collide
-                // exactly in one bucket.
-                let projected = inputs[0]
-                    .iter()
-                    .flat_map(|p| ops::project_page(p, proj))
-                    .filter(&in_bucket);
-                ops::dedup_tuples(projected)
-            }
-            k => panic!("run_final called on streaming kernel {k:?}"),
         }
     }
 
@@ -409,6 +308,7 @@ pub fn compile_with(
 
     for (qid, tree) in queries.iter().enumerate() {
         let schemas = validate(db, tree)?;
+        let first = instructions.len();
         // node -> instr id (None for scans).
         let mut map: HashMap<NodeId, InstrId> = HashMap::new();
         let mut root_instr: Option<InstrId> = None;
@@ -520,27 +420,20 @@ pub fn compile_with(
             }
         }
 
-        // Fix up parent pointers: for each instruction, find which operand of
-        // which parent its node feeds.
-        for nid in tree.topo_order() {
-            let Some(&iid) = map.get(&nid) else { continue };
-            if nid == tree.root() {
-                continue;
-            }
-            // Find the parent node and operand slot.
-            let mut assigned = false;
-            'outer: for pid in tree.topo_order() {
-                let pnode = tree.node(pid);
-                for (slot, &c) in pnode.children.iter().enumerate() {
-                    if c == nid {
-                        let parent_iid = map[&pid];
-                        instructions[iid].parent = Some((parent_iid, slot));
-                        assigned = true;
-                        break 'outer;
-                    }
-                }
-            }
-            assert!(assigned, "non-root instruction {iid} has no parent");
+        // Fix up parent pointers: each non-root instruction feeds the
+        // operand slot its node occupies among its parent node's children.
+        let parents = tree.parents();
+        for instr in &mut instructions[first..] {
+            let Some(pid) = parents[instr.node.0] else {
+                continue; // the query root
+            };
+            let slot = tree
+                .node(pid)
+                .children
+                .iter()
+                .position(|&c| c == instr.node)
+                .expect("parents() is consistent with children");
+            instr.parent = Some((map[&pid], slot));
         }
 
         roots.push(root_instr.expect("every tree compiles a root instruction"));
@@ -669,7 +562,7 @@ fn fuse_spans(instructions: &mut Vec<Instruction>, roots: &mut [InstrId]) {
 mod tests {
     use super::*;
     use df_query::{parse_query, TreeBuilder};
-    use df_relalg::{CmpOp, DataType, Relation, Tuple, Value};
+    use df_relalg::{CmpOp, DataType, Relation, Value};
 
     fn db() -> Catalog {
         let mut db = Catalog::new();
@@ -787,10 +680,11 @@ mod tests {
         let db = db();
         let a = db.get("a").unwrap();
         let page = &a.pages()[0];
-        let pred = Predicate::cmp_const(a.schema(), "k", CmpOp::Lt, Value::Int(2)).unwrap();
-        let out = Kernel::Restrict(pred.clone()).run_unit(&[page]);
-        assert_eq!(out, ops::restrict_page(page, &pred));
-        let ident = Kernel::Identity.run_unit(&[page]);
+        let s = a.schema();
+        let pred = Predicate::cmp_const(s, "k", CmpOp::Lt, Value::Int(2)).unwrap();
+        let out = Kernel::Restrict(pred.clone()).run_unit_raw(&[page], s);
+        assert_eq!(out.to_tuples(), ops::restrict_page(page, &pred));
+        let ident = Kernel::Identity.run_unit_raw(&[page], s);
         assert_eq!(ident.len(), page.len());
     }
 
@@ -799,76 +693,117 @@ mod tests {
         let db = db();
         let a = db.get("a").unwrap();
         let pages: Vec<&Page> = a.pages().iter().map(|p| p.as_ref()).collect();
+        let inputs = [pages.clone(), pages];
         // a ∪ a = a (set semantics)
-        let u = Kernel::UnionFinal.run_final(&[pages.clone(), pages.clone()]);
+        let u = Kernel::UnionFinal.run_final_raw(&inputs, a.schema());
         assert_eq!(u.len(), 10);
         // a − a = ∅
-        let d = Kernel::DifferenceFinal.run_final(&[pages.clone(), pages.clone()]);
+        let d = Kernel::DifferenceFinal.run_final_raw(&inputs, a.schema());
         assert!(d.is_empty());
+    }
+
+    /// The decoded `df_query::ops` oracle kernel each variant must
+    /// reproduce, over page 0 of `l` (and page 1 of `r` for pair units) or
+    /// the complete relations (finalizers). Exhaustive on purpose: a new
+    /// variant has to name its oracle here.
+    fn decoded(kernel: &Kernel, l: &Relation, r: &Relation) -> Vec<Tuple> {
+        let (outer, inner) = (l.pages()[0].as_ref(), r.pages()[1].as_ref());
+        match kernel {
+            Kernel::Restrict(p) | Kernel::DeleteFilter(p) => ops::restrict_page(outer, p),
+            Kernel::Project(proj) => ops::project_page(outer, proj),
+            Kernel::Identity => outer.tuples().collect(),
+            Kernel::JoinPair(c, _) => ops::join_pages(outer, inner, c),
+            Kernel::CrossPair => ops::cross_pages(outer, inner),
+            Kernel::Span(steps) => ops::span_page(outer, steps),
+            Kernel::UnionFinal => ops::union_relations(l, r).unwrap(),
+            Kernel::DifferenceFinal => ops::difference_relations(l, r).unwrap(),
+            Kernel::ProjectDedupFinal(proj) => {
+                ops::dedup_tuples(l.pages().iter().flat_map(|p| ops::project_page(p, proj)))
+            }
+        }
     }
 
     #[test]
     fn raw_unit_and_final_kernels_match_decoded() {
-        let db = db();
-        let a = db.get("a").unwrap();
-        let s = a.schema().clone();
-        let page = &a.pages()[0];
-        let other = &a.pages()[1];
-
+        let s = db().get("a").unwrap().schema().clone();
+        // Overlapping inputs with duplicates, four tuples per page.
+        let rel = |name: &str, n: i64, m: i64| {
+            Relation::from_tuples(
+                name,
+                s.clone(),
+                16 + 16 * 4,
+                (0..n).map(|i| Tuple::new(vec![Value::Int(i % m), Value::Int(i % 3)])),
+            )
+            .unwrap()
+        };
+        let (l, r) = (rel("l", 14, 5), rel("r", 11, 4));
         let pred = Predicate::cmp_const(&s, "k", CmpOp::Ge, Value::Int(2)).unwrap();
-        for kernel in [
+        let swap = Projection::new(&s, &["v", "k"]).unwrap();
+        let only_v = Projection::new(&s, &["v"]).unwrap();
+        let steps = vec![
+            ops::SpanStep::Restrict(pred.clone()),
+            ops::SpanStep::Project(only_v.clone()),
+        ];
+        let c = JoinCondition::equi(&s, "v", &s, "v").unwrap();
+        let kernels = [
             Kernel::Restrict(pred.clone()),
             Kernel::DeleteFilter(pred),
-            Kernel::Project(Projection::new(&s, &["v", "k"]).unwrap()),
+            Kernel::Project(swap.clone()),
             Kernel::Identity,
-        ] {
-            let out_schema = match &kernel {
-                Kernel::Project(p) => p.output_schema(&s).unwrap(),
-                _ => s.clone(),
-            };
-            assert_eq!(
-                kernel.run_unit_raw(&[page], &out_schema).to_tuples(),
-                kernel.run_unit(&[page]),
-                "{kernel:?}"
-            );
-        }
-        let c = JoinCondition::equi(&s, "v", &s, "v").unwrap();
-        let joined = s.concat(&s);
-        for kernel in [
             Kernel::JoinPair(c, JoinAlgo::Nested),
             Kernel::JoinPair(c, JoinAlgo::Hash),
             Kernel::CrossPair,
-        ] {
-            assert_eq!(
-                kernel.run_unit_raw(&[page, other], &joined).to_tuples(),
-                kernel.run_unit(&[page, other]),
-                "{kernel:?}"
-            );
-        }
-
-        let pages: Vec<&Page> = a.pages().iter().map(|p| p.as_ref()).collect();
-        let inputs = [pages.clone(), pages];
-        let proj_schema = Projection::new(&s, &["v"])
-            .unwrap()
-            .output_schema(&s)
-            .unwrap();
-        for kernel in [
+            Kernel::Span(steps.clone()),
             Kernel::UnionFinal,
             Kernel::DifferenceFinal,
-            Kernel::ProjectDedupFinal(Projection::new(&s, &["v"]).unwrap()),
-        ] {
-            let out_schema = match &kernel {
-                Kernel::ProjectDedupFinal(_) => proj_schema.clone(),
+            Kernel::ProjectDedupFinal(only_v.clone()),
+        ];
+
+        let lp: Vec<&Page> = l.pages().iter().map(|p| p.as_ref()).collect();
+        let rp: Vec<&Page> = r.pages().iter().map(|p| p.as_ref()).collect();
+        for kernel in &kernels {
+            let out_schema = match kernel {
+                Kernel::Project(p) | Kernel::ProjectDedupFinal(p) => p.output_schema(&s).unwrap(),
+                Kernel::Span(steps) => ops::span_output_schema(&s, steps).unwrap(),
+                Kernel::JoinPair(..) | Kernel::CrossPair => s.concat(&s),
                 _ => s.clone(),
             };
-            for buckets in [1u64, 3] {
-                for bucket in 0..buckets {
+            let expect = decoded(kernel, &l, &r);
+            match kernel.unit_gen() {
+                UnitGen::PerPage => assert_eq!(
+                    kernel.run_unit_raw(&[lp[0]], &out_schema).to_tuples(),
+                    expect,
+                    "{kernel:?}"
+                ),
+                UnitGen::PerPair => assert_eq!(
+                    kernel
+                        .run_unit_raw(&[lp[0], rp[1]], &out_schema)
+                        .to_tuples(),
+                    expect,
+                    "{kernel:?}"
+                ),
+                UnitGen::WholeRelation => {
+                    let inputs = [lp.clone(), rp.clone()];
+                    for buckets in [1u64, 3] {
+                        let mut covered = 0;
+                        for bucket in 0..buckets {
+                            let want: Vec<Tuple> = expect
+                                .iter()
+                                .filter(|t| tuple_bucket(t, buckets) == bucket)
+                                .cloned()
+                                .collect();
+                            let got = kernel
+                                .run_final_bucket_raw(&inputs, bucket, buckets, &out_schema)
+                                .to_tuples();
+                            assert_eq!(got, want, "{kernel:?} bucket {bucket}/{buckets}");
+                            covered += got.len();
+                        }
+                        assert_eq!(covered, expect.len(), "{kernel:?} over {buckets} buckets");
+                    }
                     assert_eq!(
-                        kernel
-                            .run_final_bucket_raw(&inputs, bucket, buckets, &out_schema)
-                            .to_tuples(),
-                        kernel.run_final_bucket(&inputs, bucket, buckets),
-                        "{kernel:?} bucket {bucket}/{buckets}"
+                        kernel.run_final_raw(&inputs, &out_schema).to_tuples(),
+                        expect,
+                        "{kernel:?}"
                     );
                 }
             }

@@ -7,7 +7,8 @@
 //! ready instruction a freed worker serves next via a
 //! [`df_core::WorkPicker`]. A pool of worker threads plays the IPs: each
 //! receives work units over a bounded channel (the distribution network),
-//! runs the zero-copy `df_query::ops::*_raw` kernels, drains the resulting
+//! runs the unit's compiled [`df_core::instr::Kernel`] — the very kernel
+//! the simulated machines dispatch — drains the resulting
 //! [`TupleBuf`] into output pages, and sends them back over a bounded MPSC
 //! channel (the arbitration network). Pages flow cell → parent cell → query
 //! result with `Arc` sharing — never copied.
@@ -37,20 +38,18 @@ use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use df_core::instr::{compile_with, Kernel, UnitGen};
 use df_core::{JoinAlgo, LockRequest, LockTable, StrategyPicker, WorkCandidate, WorkPicker};
 use df_obs::{EventKind, Path, Tracer};
-use df_query::ops::{
-    cross_pages_raw, dedup_pages_raw, difference_pages_raw, hash_join_applicable, hash_join_probe,
-    join_pages_raw, project_page_raw, restrict_page_raw, span_page_raw, union_pages_raw,
-};
-use df_query::{Op, QueryTree};
+use df_query::ops::{hash_join_applicable, hash_join_probe};
+use df_query::QueryTree;
 use df_relalg::{Catalog, Page, PageKeyIndex, Relation, Schema, TupleBuf};
 
 use crate::error::{HostError, HostResult};
 use crate::fault::InjectedFault;
 use crate::metrics::{HostMetrics, QueryStats, WorkerStats};
 use crate::params::HostParams;
-use crate::plan::{Firing, QueryPlan};
+use crate::plan::QueryPlan;
 
 /// One page in a pair-sweep cell's operand page table, bundled with its
 /// lazily built raw-byte key index (the hash-accelerated equi-join path).
@@ -92,7 +91,7 @@ impl OperandPage {
 /// requeue the unit if the worker holding it dies.
 #[derive(Debug, Clone)]
 enum WorkKind {
-    /// One operand page (restrict, non-dedup project).
+    /// One operand page (restrict, non-dedup project, fused span).
     Page(Arc<Page>),
     /// A pair sweep: the newly arrived page against every page of the
     /// opposite operand received so far (join, cross product).
@@ -101,12 +100,9 @@ enum WorkKind {
         opposite: Vec<Arc<OperandPage>>,
         new_is_outer: bool,
     },
-    /// Complete operands of a blocking operator (union, difference,
-    /// dedup project — `right` is empty for unary operators).
-    Complete {
-        left: Vec<Arc<Page>>,
-        right: Vec<Arc<Page>>,
-    },
+    /// Every page of every operand, one list per port, for a blocking
+    /// operator (union, difference, dedup project).
+    Complete(Vec<Vec<Arc<Page>>>),
 }
 
 /// One instruction firing, dispatched to a worker.
@@ -195,7 +191,8 @@ pub fn run_host_queries(
     let plans: Vec<Arc<QueryPlan>> = queries
         .iter()
         .map(|q| {
-            QueryPlan::build(db, q, params.page_size, params.join, params.transfer).map(Arc::new)
+            let program = compile_with(db, std::slice::from_ref(q), params.join, params.transfer)?;
+            QueryPlan::new(program, params.page_size).map(Arc::new)
         })
         .collect::<HostResult<_>>()?;
 
@@ -506,18 +503,21 @@ impl<'a> Scheduler<'a> {
         Ok(())
     }
 
-    /// Turn query `q` active: instantiate cell state and feed every scan
-    /// cell's pages from the page store (the "disk" of the host machine —
-    /// base relations are memory-resident `Arc` pages, shared not copied).
+    /// Turn query `q` active: instantiate cell state and feed every source
+    /// operand's pages from the page store (the "disk" of the host machine
+    /// — base relations are memory-resident `Arc` pages, shared not copied).
     fn admit(&mut self, q: usize) -> HostResult<()> {
         let plan = Arc::clone(&self.plans[q]);
         let cells = plan
             .cells
             .iter()
-            .map(|spec| CellState {
-                received: vec![Vec::new(); spec.arity],
-                port_done: vec![false; spec.arity],
-                ..CellState::default()
+            .map(|cell| {
+                let arity = cell.instr.operands.len();
+                CellState {
+                    received: vec![Vec::new(); arity],
+                    port_done: vec![false; arity],
+                    ..CellState::default()
+                }
             })
             .collect();
         self.active[q] = Some(QueryState {
@@ -541,16 +541,21 @@ impl<'a> Scheduler<'a> {
             );
         }
 
-        for (idx, spec) in plan.cells.iter().enumerate() {
-            if spec.firing != Firing::Source {
-                continue;
+        for (idx, cell) in plan.cells.iter().enumerate() {
+            for (port, operand) in cell.instr.operands.iter().enumerate() {
+                let Some(relation) = &operand.source else {
+                    continue;
+                };
+                let pages: Vec<Arc<Page>> = self.db.require(relation)?.pages().to_vec();
+                if matches!(cell.instr.kernel, Kernel::Identity) {
+                    // A bare scan root: the relation's pages are the
+                    // result as they stand, so no unit fires.
+                    self.route_output(q, idx, pages)?;
+                } else {
+                    self.on_pages(q, idx, port, pages);
+                }
+                self.operand_done(q, idx, port)?;
             }
-            let Op::Scan { relation } = &spec.op else {
-                unreachable!("source cells are scans");
-            };
-            let pages: Vec<Arc<Page>> = self.db.require(relation)?.pages().to_vec();
-            self.route_output(q, idx, pages)?;
-            self.complete_cell(q, idx)?;
         }
         Ok(())
     }
@@ -562,7 +567,7 @@ impl<'a> Scheduler<'a> {
             return Ok(());
         }
         let state = self.active[q].as_mut().expect("query is active");
-        match state.plan.cells[from].parent {
+        match state.plan.cells[from].instr.parent {
             None => state.result_pages.extend(pages),
             Some((parent, port)) => self.on_pages(q, parent, port, pages),
         }
@@ -573,18 +578,17 @@ impl<'a> Scheduler<'a> {
     fn on_pages(&mut self, q: usize, cell: usize, port: usize, pages: Vec<Arc<Page>>) {
         let trace = self.params.trace.as_deref();
         let state = self.active[q].as_mut().expect("query is active");
-        let firing = state.plan.cells[cell].firing;
+        let firing = state.plan.cells[cell].instr.kernel.unit_gen();
         let cs = &mut state.cells[cell];
         let mut fired = 0u64;
         match firing {
-            Firing::Source => unreachable!("scan cells have no operands"),
-            Firing::PerPage => {
+            UnitGen::PerPage => {
                 for p in pages {
                     cs.pending.push_back(WorkKind::Page(p));
                     fired += 1;
                 }
             }
-            Firing::PairSweep => {
+            UnitGen::PerPair => {
                 // Pair each new page with every opposite page received so
                 // far; later opposite arrivals will pick this page up, so
                 // each page pair is swept exactly once. The `OperandPage`
@@ -604,7 +608,7 @@ impl<'a> Scheduler<'a> {
                     cs.received[port].push(new_page);
                 }
             }
-            Firing::Complete => {
+            UnitGen::WholeRelation => {
                 cs.received[port].extend(pages.into_iter().map(|p| Arc::new(OperandPage::new(p))))
             }
         }
@@ -626,43 +630,45 @@ impl<'a> Scheduler<'a> {
         let state = self.active[q].as_mut().expect("query is active");
         debug_assert!(!state.cells[cell].complete);
         state.cells[cell].complete = true;
-        let parent = state.plan.cells[cell].parent;
-        match parent {
-            None => self.finish_query(q)?,
-            Some((parent, port)) => {
-                let state = self.active[q].as_mut().expect("query is active");
-                state.cells[parent].port_done[port] = true;
-                self.try_fire_blocking(q, parent);
-                self.try_complete(q, parent)?;
-            }
+        match state.plan.cells[cell].instr.parent {
+            None => self.finish_query(q),
+            Some((parent, port)) => self.operand_done(q, parent, port),
         }
-        Ok(())
+    }
+
+    /// Operand `port` of `cell` has delivered its last page.
+    fn operand_done(&mut self, q: usize, cell: usize, port: usize) -> HostResult<()> {
+        let state = self.active[q].as_mut().expect("query is active");
+        state.cells[cell].port_done[port] = true;
+        self.try_fire_blocking(q, cell);
+        self.try_complete(q, cell)
     }
 
     /// A blocking cell with all operands complete fires its single unit.
     fn try_fire_blocking(&mut self, q: usize, cell: usize) {
         let state = self.active[q].as_mut().expect("query is active");
-        let spec = &state.plan.cells[cell];
+        let instr = &state.plan.cells[cell].instr;
         let cs = &mut state.cells[cell];
-        if spec.firing != Firing::Complete || cs.fired_blocking || !cs.port_done.iter().all(|&d| d)
+        if instr.kernel.unit_gen() != UnitGen::WholeRelation
+            || cs.fired_blocking
+            || !cs.port_done.iter().all(|&d| d)
         {
             return;
         }
         cs.fired_blocking = true;
         // Blocking kernels take plain pages; unwrap the operand wrappers
         // (their index slots are never populated for non-join cells).
-        let unwrap = |ops: Vec<Arc<OperandPage>>| {
-            ops.into_iter()
-                .map(|op| Arc::clone(&op.page))
-                .collect::<Vec<_>>()
-        };
-        let left = unwrap(std::mem::take(&mut cs.received[0]));
-        let right = if spec.arity > 1 {
-            unwrap(std::mem::take(&mut cs.received[1]))
-        } else {
-            Vec::new()
-        };
-        cs.pending.push_back(WorkKind::Complete { left, right });
+        let operands = cs
+            .received
+            .iter_mut()
+            .map(|port| {
+                std::mem::take(port)
+                    .into_iter()
+                    .map(|op| Arc::clone(&op.page))
+                    .collect()
+            })
+            .collect();
+        cs.pending.push_back(WorkKind::Complete(operands));
         if let Some(t) = self.trace() {
             t.record(EventKind::CellFire, q as u32, cell as u32, 1, 1);
         }
@@ -671,9 +677,10 @@ impl<'a> Scheduler<'a> {
     /// Complete `cell` if its operands are done and no work is outstanding.
     fn try_complete(&mut self, q: usize, cell: usize) -> HostResult<()> {
         let state = self.active[q].as_mut().expect("query is active");
-        let spec = &state.plan.cells[cell];
         let cs = &state.cells[cell];
-        let blocked_on_fire = spec.firing == Firing::Complete && !cs.fired_blocking;
+        let blocked_on_fire = state.plan.cells[cell].instr.kernel.unit_gen()
+            == UnitGen::WholeRelation
+            && !cs.fired_blocking;
         if cs.complete
             || blocked_on_fire
             || !cs.port_done.iter().all(|&d| d)
@@ -689,10 +696,11 @@ impl<'a> Scheduler<'a> {
     /// query's locks, and admit whatever those locks were blocking.
     fn finish_query(&mut self, q: usize) -> HostResult<()> {
         let state = self.active[q].take().expect("query is active");
-        let spec = &state.plan.cells[state.plan.root];
-        let mut rel = Relation::new("result", spec.out_schema.clone(), spec.out_page_size)?;
+        let root = &state.plan.cells[state.plan.root];
+        let schema = &root.instr.output_schema;
+        let mut rel = Relation::new("result", schema.clone(), root.out_page_size)?;
         if self.params.deterministic {
-            for page in canonicalize(&state.result_pages, &spec.out_schema, spec.out_page_size)? {
+            for page in canonicalize(&state.result_pages, schema, root.out_page_size)? {
                 rel.append_page(page)?;
             }
         } else {
@@ -954,7 +962,7 @@ impl<'a> Scheduler<'a> {
                 state.in_flight_total -= 1;
                 state.stats.units_fired += 1;
                 state.stats.failed_units += 1;
-                let op = state.plan.cells[cell].op.name().to_string();
+                let op = state.plan.cells[cell].instr.op_name.to_string();
                 if let Some(t) = self.trace() {
                     t.record(EventKind::Fault, q as u32, cell as u32, 0, worker as u64);
                 }
@@ -1106,7 +1114,10 @@ fn worker_loop(
         // still counts as its own kernel span (start/end pair, busy time
         // split evenly) so the per-operator accounting — and the df-obs
         // conservation identities over it — hold in both transfer modes.
-        let logical_kernels = unit.plan.cells[unit.cell].steps.len().max(1);
+        let logical_kernels = match &unit.plan.cells[unit.cell].instr.kernel {
+            Kernel::Span(steps) => steps.len(),
+            _ => 1,
+        };
         let span = trace
             .as_deref()
             .map(|t| t.span(unit.query as u32, unit.cell as u32, unit.seq));
@@ -1191,75 +1202,41 @@ fn worker_loop(
     stats
 }
 
-/// Run the kernel for one work unit. Returns (output pages, operand page
-/// count, operand bytes, unit class).
+/// Run the cell's compiled kernel for one work unit. Returns (output
+/// pages, operand page count, operand bytes, unit class).
 fn execute_unit(unit: &WorkUnit) -> (Vec<Arc<Page>>, usize, u64, UnitClass) {
-    let spec = &unit.plan.cells[unit.cell];
-    let mut pager = OutputPager::new(spec.out_schema.clone(), spec.out_page_size);
-    let count = |pages: &[Arc<Page>]| {
-        (
-            pages.len(),
-            pages.iter().map(|p| p.wire_bytes() as u64).sum::<u64>(),
-        )
-    };
-    let count_ops = |pages: &[Arc<OperandPage>]| {
-        (
-            pages.len(),
-            pages
-                .iter()
-                .map(|p| p.page.wire_bytes() as u64)
-                .sum::<u64>(),
-        )
-    };
-    let mut class = UnitClass::Other;
-
-    // A fused span cell (pipeline mode) runs its whole restrict→project
-    // chain over the operand page in one kernel — `spec.op` is only the
-    // chain's bottom operator, so it must not reach the per-op match below.
-    if !spec.steps.is_empty() {
-        let WorkKind::Page(page) = &unit.kind else {
-            unreachable!("span cells fire per page");
-        };
-        pager.absorb(&mut span_page_raw(page, &spec.steps, &spec.out_schema));
-        return (pager.finish(), 1, page.wire_bytes() as u64, class);
-    }
-
-    let (pages_in, bytes_in) = match (&spec.op, &unit.kind) {
-        (Op::Restrict { predicate }, WorkKind::Page(page)) => {
-            pager.absorb(&mut restrict_page_raw(page, predicate));
-            (1, page.wire_bytes() as u64)
+    let cell = &unit.plan.cells[unit.cell];
+    let (kernel, schema) = (&cell.instr.kernel, &cell.instr.output_schema);
+    let mut pager = OutputPager::new(schema.clone(), cell.out_page_size);
+    let wire = |p: &Page| p.wire_bytes() as u64;
+    match &unit.kind {
+        WorkKind::Page(page) => {
+            pager.absorb(&mut kernel.run_unit_raw(&[page], schema));
+            (pager.finish(), 1, wire(page), UnitClass::Other)
         }
-        (Op::Project { projection, dedup }, WorkKind::Page(page)) => {
-            debug_assert!(!dedup, "dedup project fires on complete operands");
-            pager.absorb(&mut project_page_raw(page, projection, &spec.out_schema));
-            (1, page.wire_bytes() as u64)
-        }
-        (
-            Op::Join { condition },
-            WorkKind::Sweep {
-                new_page,
-                opposite,
-                new_is_outer,
-            },
-        ) => {
-            // The hash path applies per cell, not per pair: both operands'
-            // schemas are fixed, so applicability is uniform across the
-            // unit's pairs. The inner page is indexed on the condition's
-            // right attribute (the inner side is always port 1); probing
-            // outer slots in page order reproduces the nested-loops output
-            // byte for byte.
-            let applicable = unit.plan.join == JoinAlgo::Hash && {
-                let (outer, inner) = if *new_is_outer {
-                    (&new_page.page, &opposite[0].page)
-                } else {
-                    (&opposite[0].page, &new_page.page)
-                };
-                hash_join_applicable(outer.schema(), inner.schema(), condition)
-            };
-            class = if applicable {
-                UnitClass::Probe
-            } else {
-                UnitClass::Sweep
+        WorkKind::Sweep {
+            new_page,
+            opposite,
+            new_is_outer,
+        } => {
+            // The one host-specific path: a hash equi-join probes each inner
+            // page's key index, cached on the cell's operand table so it is
+            // built once per page rather than once per pair. Applicability
+            // is uniform across the unit's pairs (both operands' schemas
+            // are fixed per cell); the inner side is always port 1, and
+            // probing outer slots in page order reproduces the nested-loops
+            // output byte for byte.
+            let probe = match kernel {
+                Kernel::JoinPair(c, JoinAlgo::Hash)
+                    if hash_join_applicable(
+                        &cell.instr.operands[0].schema,
+                        &cell.instr.operands[1].schema,
+                        c,
+                    ) =>
+                {
+                    Some(c)
+                }
+                _ => None,
             };
             for opp in opposite {
                 let (outer, inner) = if *new_is_outer {
@@ -1267,78 +1244,35 @@ fn execute_unit(unit: &WorkUnit) -> (Vec<Arc<Page>>, usize, u64, UnitClass) {
                 } else {
                     (opp.as_ref(), new_page.as_ref())
                 };
-                if applicable {
-                    pager.absorb(&mut hash_join_probe(
+                pager.absorb(&mut match probe {
+                    Some(c) => hash_join_probe(
                         &outer.page,
                         &inner.page,
-                        inner.index_for(condition.right),
-                        condition,
-                        &spec.out_schema,
-                    ));
-                } else {
-                    pager.absorb(&mut join_pages_raw(
-                        &outer.page,
-                        &inner.page,
-                        condition,
-                        &spec.out_schema,
-                    ));
-                }
+                        inner.index_for(c.right),
+                        c,
+                        schema,
+                    ),
+                    None => kernel.run_unit_raw(&[&outer.page, &inner.page], schema),
+                });
             }
-            let (n, b) = count_ops(opposite);
-            (n + 1, b + new_page.page.wire_bytes() as u64)
+            let class = if probe.is_some() {
+                UnitClass::Probe
+            } else {
+                UnitClass::Sweep
+            };
+            let bytes_in =
+                wire(&new_page.page) + opposite.iter().map(|p| wire(&p.page)).sum::<u64>();
+            (pager.finish(), opposite.len() + 1, bytes_in, class)
         }
-        (
-            Op::CrossProduct,
-            WorkKind::Sweep {
-                new_page,
-                opposite,
-                new_is_outer,
-            },
-        ) => {
-            class = UnitClass::Sweep;
-            for opp in opposite {
-                let (outer, inner) = if *new_is_outer {
-                    (&new_page.page, &opp.page)
-                } else {
-                    (&opp.page, &new_page.page)
-                };
-                pager.absorb(&mut cross_pages_raw(outer, inner, &spec.out_schema));
-            }
-            let (n, b) = count_ops(opposite);
-            (n + 1, b + new_page.page.wire_bytes() as u64)
+        WorkKind::Complete(operands) => {
+            let inputs: Vec<Vec<&Page>> = operands
+                .iter()
+                .map(|port| port.iter().map(Arc::as_ref).collect())
+                .collect();
+            pager.absorb(&mut kernel.run_final_raw(&inputs, schema));
+            let pages_in = inputs.iter().map(Vec::len).sum();
+            let bytes_in = inputs.iter().flatten().map(|p| wire(p)).sum();
+            (pager.finish(), pages_in, bytes_in, UnitClass::Other)
         }
-        (Op::Union, WorkKind::Complete { left, right }) => {
-            let l: Vec<&Page> = left.iter().map(Arc::as_ref).collect();
-            let r: Vec<&Page> = right.iter().map(Arc::as_ref).collect();
-            pager.absorb(&mut union_pages_raw(&l, &r, &spec.out_schema));
-            let ((ln, lb), (rn, rb)) = (count(left), count(right));
-            (ln + rn, lb + rb)
-        }
-        (Op::Difference, WorkKind::Complete { left, right }) => {
-            let l: Vec<&Page> = left.iter().map(Arc::as_ref).collect();
-            let r: Vec<&Page> = right.iter().map(Arc::as_ref).collect();
-            pager.absorb(&mut difference_pages_raw(&l, &r, &spec.out_schema));
-            let ((ln, lb), (rn, rb)) = (count(left), count(right));
-            (ln + rn, lb + rb)
-        }
-        (Op::Project { projection, dedup }, WorkKind::Complete { left, .. }) => {
-            debug_assert!(*dedup, "plain project fires per page");
-            // Two phases on one worker: attribute elimination (the
-            // parallelizable part), then global duplicate elimination over
-            // the projected pages (the paper's §5 blocking tail).
-            let mut projected = OutputPager::new(spec.out_schema.clone(), spec.out_page_size);
-            for page in left {
-                projected.absorb(&mut project_page_raw(page, projection, &spec.out_schema));
-            }
-            let projected_pages = projected.pages;
-            let refs: Vec<&Page> = projected_pages.iter().collect();
-            pager.absorb(&mut dedup_pages_raw(&refs, &spec.out_schema));
-            count(left)
-        }
-        (op, kind) => unreachable!(
-            "operator `{}` never receives work of kind {kind:?}",
-            op.name()
-        ),
-    };
-    (pager.finish(), pages_in, bytes_in, class)
+    }
 }

@@ -1,223 +1,88 @@
-//! Query compilation: a validated [`QueryTree`] becomes a vector of
-//! *instruction cells*, the host executor's counterpart of the paper's
-//! instructions held by memory cells / ICs. Each cell knows its operator,
-//! its derived output schema, its parent (and which operand port of the
-//! parent it feeds), and its depth from the root (the `RootFirst` policy's
-//! input).
+//! The host's view of a compiled query.
+//!
+//! df-host runs the very [`Program`] the simulated machines run
+//! ([`df_core::instr::compile_with`] builds it): one [`Instruction`] per
+//! instruction cell, with scans folded into their parents' operand
+//! `source`s and, under pipeline transfers, restrict→project chains fused
+//! into spans. This module adds only what the scheduler derives from that
+//! program — each cell's `RootFirst` depth and output page size.
 
-use df_core::{JoinAlgo, TransferMode};
-use df_query::ops::SpanStep;
-use df_query::{validate, Op, QueryTree};
-use df_relalg::{Catalog, Schema, PAGE_HEADER_BYTES};
+use df_core::instr::{Instruction, Kernel, Program};
+use df_relalg::PAGE_HEADER_BYTES;
 
 use crate::error::{HostError, HostResult};
 
-/// How the scheduler treats a cell's arriving operand pages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Firing {
-    /// Leaf: pages come from the page store at admission, no work units.
-    Source,
-    /// One work unit per arriving operand page (restrict, non-dedup
-    /// project) — the §3.2 page-granularity firing rule.
-    PerPage,
-    /// One work unit per (new page × opposite pages so far) sweep (join,
-    /// cross product) — the paper's independent nested-loops work units.
-    PairSweep,
-    /// One work unit once every operand is complete (union, difference,
-    /// dedup project) — the operators the paper calls out as blocking.
-    Complete,
-}
-
-/// One compiled instruction cell.
-#[derive(Debug, Clone)]
-pub(crate) struct CellSpec {
-    /// The relational operation (predicates/projections pre-resolved by the
-    /// tree builder, re-checked by `validate`).
-    pub op: Op,
-    /// Derived output schema.
-    pub out_schema: Schema,
-    /// `(parent cell, operand port)` — `None` for the root.
-    pub parent: Option<(usize, usize)>,
-    /// Distance from the root (root = 0).
+/// One instruction cell: a compiled instruction plus its scheduling facts.
+#[derive(Debug)]
+pub(crate) struct Cell {
+    /// Kernel, operands (with their scan sources), output schema, parent.
+    pub instr: Instruction,
+    /// Query-tree distance of the cell's top operator from the root (root
+    /// = 0), the `RootFirst` policy's input. A fused span sits at its chain
+    /// top's depth, and the cells below it keep their tree nodes' depths.
     pub depth: usize,
-    /// Number of operand ports (= the operator's arity).
-    pub arity: usize,
-    /// Firing discipline.
-    pub firing: Firing,
     /// Page size for this cell's output pages: the configured size, grown
     /// if necessary so at least one (possibly very wide) tuple fits.
     pub out_page_size: usize,
-    /// Non-empty only under [`TransferMode::Pipeline`]: this cell is a
-    /// *fused span* standing in for a maximal restrict→project chain. The
-    /// steps run bottom (this cell's original operator) to top per operand
-    /// page in one work unit; `op` keeps the bottom operator for
-    /// diagnostics, `out_schema`/`out_page_size`/`parent`/`depth` are the
-    /// chain top's. The absorbed upper cells stay in `cells` (indices are
-    /// tree node ids) but nothing ever routes pages to them.
-    pub steps: Vec<SpanStep>,
 }
 
-/// A compiled query: cells in topological (leaf-before-parent) order, the
-/// root last by construction of [`QueryTree`].
-#[derive(Debug, Clone)]
+/// A compiled read-only query: cells in program order (children before
+/// parents), indexed by instruction id.
+#[derive(Debug)]
 pub(crate) struct QueryPlan {
-    pub cells: Vec<CellSpec>,
+    pub cells: Vec<Cell>,
     pub root: usize,
-    /// Join algorithm every pair-sweep cell of this plan runs with.
-    pub join: JoinAlgo,
 }
 
 impl QueryPlan {
-    /// Compile `tree` against `db`.
+    /// View the single-query `program` as instruction cells whose output
+    /// pages hold at least `page_size` bytes.
     ///
     /// # Errors
-    /// Fails on validation errors ([`HostError::Data`]), and on update
-    /// operators ([`HostError::ReadOnlyExecutor`]): the host executor runs
-    /// read-only queries (updates stay on the oracle and the simulated
-    /// machines, which own catalog mutation).
-    pub fn build(
-        db: &Catalog,
-        tree: &QueryTree,
-        page_size: usize,
-        join: JoinAlgo,
-        transfer: TransferMode,
-    ) -> HostResult<QueryPlan> {
-        let schemas = validate(db, tree)?;
-        let parents = tree.parents();
-
-        // Depth from the root: walk parents (children have smaller ids, so
-        // a reverse sweep sees every parent before its children).
-        let mut depth = vec![0usize; tree.len()];
-        for id in tree.topo_order().collect::<Vec<_>>().into_iter().rev() {
-            if let Some(p) = parents[id.0] {
-                depth[id.0] = depth[p.0] + 1;
-            }
-        }
-
-        let mut cells = Vec::with_capacity(tree.len());
-        for id in tree.topo_order() {
-            let node = tree.node(id);
-            let firing = match &node.op {
-                Op::Scan { .. } => Firing::Source,
-                Op::Restrict { .. } => Firing::PerPage,
-                Op::Project { dedup, .. } => {
-                    if *dedup {
-                        Firing::Complete
-                    } else {
-                        Firing::PerPage
-                    }
-                }
-                Op::Join { .. } | Op::CrossProduct => Firing::PairSweep,
-                Op::Union | Op::Difference => Firing::Complete,
-                Op::Append { .. } | Op::Delete { .. } => {
-                    return Err(HostError::ReadOnlyExecutor {
-                        op: node.op.name().to_string(),
-                    });
-                }
-            };
-            let out_schema = schemas.schema(id).clone();
-            let out_page_size = page_size.max(PAGE_HEADER_BYTES + out_schema.tuple_width());
-            let parent = parents[id.0].map(|p| {
-                let port = tree
-                    .node(p)
-                    .children
-                    .iter()
-                    .position(|c| *c == id)
-                    .expect("parents() is consistent with children");
-                (p.0, port)
-            });
-            cells.push(CellSpec {
-                op: node.op.clone(),
-                out_schema,
-                parent,
-                depth: depth[id.0],
-                arity: node.op.arity(),
-                firing,
-                out_page_size,
-                steps: Vec::new(),
+    /// Update queries fail with [`HostError::ReadOnlyExecutor`]: the host
+    /// executor runs read-only queries (updates stay on the oracle and the
+    /// simulated machines, which own catalog mutation).
+    pub fn new(program: Program, page_size: usize) -> HostResult<QueryPlan> {
+        let root = program.roots[0];
+        let instructions = program.instructions;
+        if program.updates[0].is_some() {
+            return Err(HostError::ReadOnlyExecutor {
+                op: instructions[root].op_name.to_string(),
             });
         }
-        let mut plan = QueryPlan {
-            cells,
-            root: tree.root().0,
-            join,
-        };
-        if transfer == TransferMode::Pipeline {
-            plan.fuse_spans();
-        }
-        Ok(plan)
-    }
-
-    /// The pipeline post-pass: collapse every maximal chain of per-page
-    /// restrict/project cells into one fused span cell.
-    ///
-    /// Cell indices are tree node ids (the scheduler addresses cells by
-    /// them), so unlike the simulated machines' compiler this pass never
-    /// renumbers: the chain's *bottom* cell is rewritten in place to carry
-    /// the whole chain, and the absorbed upper cells are left inert — with
-    /// the bottom's `parent` repointed past them, no page is ever routed
-    /// their way, no unit ever fires on them, and cell completion never
-    /// consults them.
-    fn fuse_spans(&mut self) {
-        let fusible = |spec: &CellSpec| {
-            spec.firing == Firing::PerPage
-                && matches!(
-                    spec.op,
-                    Op::Restrict { .. } | Op::Project { dedup: false, .. }
-                )
-        };
-        // A chain bottom is a fusible cell not fed by another fusible cell.
-        let mut fed_by_fusible = vec![false; self.cells.len()];
-        for spec in self.cells.iter().filter(|s| fusible(s)) {
-            if let Some((p, _)) = spec.parent {
-                if fusible(&self.cells[p]) {
-                    fed_by_fusible[p] = true;
-                }
+        // Reverse program order visits every parent before its children. A
+        // span parent stands for its whole chain, so its child sits one
+        // tree level below the chain's bottom.
+        let mut depth = vec![0usize; instructions.len()];
+        for instr in instructions.iter().rev() {
+            if let Some((p, _)) = instr.parent {
+                depth[instr.id] = depth[p]
+                    + match &instructions[p].kernel {
+                        Kernel::Span(steps) => steps.len(),
+                        _ => 1,
+                    };
             }
         }
-        for (bottom, &fed) in fed_by_fusible.iter().enumerate() {
-            if fed || !fusible(&self.cells[bottom]) {
-                continue;
-            }
-            // Walk up while the parent is fusible too.
-            let mut chain = vec![bottom];
-            while let Some((p, _)) = self.cells[*chain.last().expect("nonempty")].parent {
-                if !fusible(&self.cells[p]) {
-                    break;
-                }
-                chain.push(p);
-            }
-            if chain.len() < 2 {
-                continue;
-            }
-            let steps: Vec<SpanStep> = chain
-                .iter()
-                .map(|&c| match &self.cells[c].op {
-                    Op::Restrict { predicate } => SpanStep::Restrict(predicate.clone()),
-                    Op::Project { projection, .. } => SpanStep::Project(projection.clone()),
-                    other => unreachable!("non-fusible op `{}` in a chain", other.name()),
-                })
-                .collect();
-            let top = *chain.last().expect("nonempty");
-            let top_spec = self.cells[top].clone();
-            let spec = &mut self.cells[bottom];
-            spec.steps = steps;
-            spec.out_schema = top_spec.out_schema;
-            spec.out_page_size = top_spec.out_page_size;
-            spec.parent = top_spec.parent;
-            spec.depth = top_spec.depth;
-            if self.root == top {
-                self.root = bottom;
-            }
-        }
+        let cells = instructions
+            .into_iter()
+            .zip(depth)
+            .map(|(instr, depth)| Cell {
+                out_page_size: page_size.max(PAGE_HEADER_BYTES + instr.output_schema.tuple_width()),
+                depth,
+                instr,
+            })
+            .collect();
+        Ok(QueryPlan { cells, root })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use df_query::TreeBuilder;
-    use df_relalg::{CmpOp, DataType, Relation, Schema, Tuple, Value};
+    use df_core::instr::{compile_with, UnitGen};
+    use df_core::{JoinAlgo, TransferMode};
+    use df_query::{QueryTree, TreeBuilder};
+    use df_relalg::{Catalog, CmpOp, DataType, Relation, Schema, Tuple, Value};
 
     fn db() -> Catalog {
         let mut db = Catalog::new();
@@ -239,6 +104,11 @@ mod tests {
         db
     }
 
+    fn compile(db: &Catalog, q: &QueryTree, transfer: TransferMode) -> HostResult<QueryPlan> {
+        let program = compile_with(db, std::slice::from_ref(q), JoinAlgo::Nested, transfer)?;
+        QueryPlan::new(program, 1024)
+    }
+
     #[test]
     fn compiles_shapes_and_depths() {
         let db = db();
@@ -251,56 +121,39 @@ mod tests {
             .equi_join(b.scan("emp").unwrap(), "dept", "dept")
             .unwrap()
             .finish();
-        let plan =
-            QueryPlan::build(&db, &q, 1024, JoinAlgo::Nested, TransferMode::Materialize).unwrap();
-        assert_eq!(plan.cells.len(), 4);
-        assert_eq!(plan.root, 3);
-        assert_eq!(plan.cells[plan.root].depth, 0);
-        assert_eq!(plan.cells[plan.root].firing, Firing::PairSweep);
-        assert_eq!(plan.cells[0].firing, Firing::Source);
-        // scan -> restrict (port 0 of the join's outer side).
-        assert_eq!(plan.cells[0].parent, Some((1, 0)));
-        assert_eq!(plan.cells[1].parent, Some((3, 0)));
-        assert_eq!(plan.cells[2].parent, Some((3, 1)));
-        assert_eq!(plan.cells[0].depth, 2);
+        let plan = compile(&db, &q, TransferMode::Materialize).unwrap();
+        // Scans are operand sources, not cells: restrict(0) -> join(1).
+        assert_eq!(plan.cells.len(), 2);
+        assert_eq!(plan.root, 1);
+        let (restrict, join) = (&plan.cells[0], &plan.cells[1]);
+        assert_eq!(join.depth, 0);
+        assert_eq!(join.instr.kernel.unit_gen(), UnitGen::PerPair);
+        assert_eq!(restrict.instr.parent, Some((1, 0)));
+        assert_eq!(restrict.instr.operands[0].source.as_deref(), Some("emp"));
+        assert_eq!(join.instr.operands[1].source.as_deref(), Some("emp"));
+        assert!(join.instr.operands[0].source.is_none());
+        assert_eq!(restrict.depth, 1);
         // Join output is wider than either input.
-        assert_eq!(plan.cells[3].out_schema.arity(), 4);
+        assert_eq!(join.instr.output_schema.arity(), 4);
     }
 
     #[test]
     fn dedup_project_is_blocking_and_plain_is_not() {
         let db = db();
-        let q = TreeBuilder::new(&db)
-            .scan("emp")
-            .unwrap()
-            .project(&["dept"], true)
-            .unwrap()
-            .finish();
-        let plan =
-            QueryPlan::build(&db, &q, 1024, JoinAlgo::Nested, TransferMode::Materialize).unwrap();
-        assert_eq!(plan.cells[1].firing, Firing::Complete);
-        let q = TreeBuilder::new(&db)
-            .scan("emp")
-            .unwrap()
-            .project(&["dept"], false)
-            .unwrap()
-            .finish();
-        let plan =
-            QueryPlan::build(&db, &q, 1024, JoinAlgo::Nested, TransferMode::Materialize).unwrap();
-        assert_eq!(plan.cells[1].firing, Firing::PerPage);
+        for (dedup, firing) in [(true, UnitGen::WholeRelation), (false, UnitGen::PerPage)] {
+            let q = TreeBuilder::new(&db)
+                .scan("emp")
+                .unwrap()
+                .project(&["dept"], dedup)
+                .unwrap()
+                .finish();
+            let plan = compile(&db, &q, TransferMode::Materialize).unwrap();
+            assert_eq!(plan.cells[0].instr.kernel.unit_gen(), firing);
+        }
     }
 
     #[test]
-    fn tiny_page_size_grows_to_fit_one_tuple() {
-        let db = db();
-        let q = TreeBuilder::new(&db).scan("emp").unwrap().finish();
-        let plan =
-            QueryPlan::build(&db, &q, 8, JoinAlgo::Nested, TransferMode::Materialize).unwrap();
-        assert!(plan.cells[0].out_page_size >= PAGE_HEADER_BYTES + 16);
-    }
-
-    #[test]
-    fn pipeline_fuses_chain_without_renumbering() {
+    fn pipeline_fuses_chain_into_one_cell() {
         let db = db();
         let q = TreeBuilder::new(&db)
             .scan("emp")
@@ -310,26 +163,22 @@ mod tests {
             .project(&["dept"], false)
             .unwrap()
             .finish();
-        let plan =
-            QueryPlan::build(&db, &q, 1024, JoinAlgo::Nested, TransferMode::Pipeline).unwrap();
-        // Cells keep their tree-node indices; the restrict (cell 1) became
-        // the span, absorbing the project (cell 2), and took over as root.
-        assert_eq!(plan.cells.len(), 3);
-        assert_eq!(plan.root, 1);
-        let span = &plan.cells[1];
-        assert_eq!(span.steps.len(), 2);
-        assert!(matches!(span.steps[0], SpanStep::Restrict(_)));
-        assert!(matches!(span.steps[1], SpanStep::Project(_)));
-        assert_eq!(span.parent, None);
-        assert_eq!(span.out_schema.arity(), 1);
-        assert_eq!(span.firing, Firing::PerPage);
-        // The scan still feeds the span cell at port 0.
-        assert_eq!(plan.cells[0].parent, Some((1, 0)));
+        let plan = compile(&db, &q, TransferMode::Pipeline).unwrap();
+        assert_eq!(plan.cells.len(), 1);
+        assert_eq!(plan.root, 0);
+        let span = &plan.cells[0];
+        assert!(matches!(&span.instr.kernel, Kernel::Span(steps) if steps.len() == 2));
+        assert_eq!(span.instr.parent, None);
+        assert_eq!(span.depth, 0);
+        assert_eq!(span.instr.output_schema.arity(), 1);
+        assert_eq!(span.instr.kernel.unit_gen(), UnitGen::PerPage);
+        // The scan feeds the span directly.
+        assert_eq!(span.instr.operands[0].source.as_deref(), Some("emp"));
         // Materialize mode leaves the chain unfused.
-        let plan =
-            QueryPlan::build(&db, &q, 1024, JoinAlgo::Nested, TransferMode::Materialize).unwrap();
-        assert_eq!(plan.root, 2);
-        assert!(plan.cells.iter().all(|c| c.steps.is_empty()));
+        let plan = compile(&db, &q, TransferMode::Materialize).unwrap();
+        assert_eq!(plan.cells.len(), 2);
+        assert_eq!(plan.root, 1);
+        assert_eq!(plan.cells[0].depth, 1);
     }
 
     #[test]
@@ -347,14 +196,13 @@ mod tests {
             .equi_join(b.scan("emp").unwrap(), "dept", "dept")
             .unwrap()
             .finish();
-        let plan =
-            QueryPlan::build(&db, &q, 1024, JoinAlgo::Nested, TransferMode::Pipeline).unwrap();
-        // scan(0) -> restrict(1) -> restrict(2) -> join(4) <- scan(3); the
-        // two restricts fuse into cell 1, feeding the join's port 0.
-        let span = &plan.cells[1];
-        assert_eq!(span.steps.len(), 2);
-        assert_eq!(span.parent, Some((4, 0)));
-        assert_eq!(plan.root, 4);
+        let plan = compile(&db, &q, TransferMode::Pipeline).unwrap();
+        // The two restricts fuse into span 0, feeding the join's port 0.
+        assert_eq!(plan.cells.len(), 2);
+        assert!(matches!(&plan.cells[0].instr.kernel, Kernel::Span(steps) if steps.len() == 2));
+        assert_eq!(plan.cells[0].instr.parent, Some((1, 0)));
+        assert_eq!(plan.cells[0].depth, 1);
+        assert_eq!(plan.root, 1);
         // A lone restrict (or project) never fuses: chain length 1.
         let q = TreeBuilder::new(&db)
             .scan("emp")
@@ -362,9 +210,61 @@ mod tests {
             .restrict_where("id", CmpOp::Gt, Value::Int(2))
             .unwrap()
             .finish();
-        let plan =
-            QueryPlan::build(&db, &q, 1024, JoinAlgo::Nested, TransferMode::Pipeline).unwrap();
-        assert!(plan.cells.iter().all(|c| c.steps.is_empty()));
+        let plan = compile(&db, &q, TransferMode::Pipeline).unwrap();
+        assert!(matches!(plan.cells[0].instr.kernel, Kernel::Restrict(_)));
+    }
+
+    #[test]
+    fn tiny_page_size_grows_to_fit_one_tuple() {
+        let db = db();
+        let q = TreeBuilder::new(&db).scan("emp").unwrap().finish();
+        let program = compile_with(&db, &[q], JoinAlgo::Nested, TransferMode::Materialize).unwrap();
+        let plan = QueryPlan::new(program, 8).unwrap();
+        assert!(plan.cells[0].out_page_size >= PAGE_HEADER_BYTES + 16);
+    }
+
+    #[test]
+    fn cells_below_a_fused_span_keep_their_tree_depths() {
+        let db = db();
+        let b = TreeBuilder::new(&db);
+        // project(0) <- restrict(1) <- join(2) <- restrict(3) <- scan, scan.
+        let q = b
+            .scan("emp")
+            .unwrap()
+            .restrict_where("id", CmpOp::Gt, Value::Int(1))
+            .unwrap()
+            .equi_join(b.scan("emp").unwrap(), "dept", "dept")
+            .unwrap()
+            .restrict_where("id", CmpOp::Lt, Value::Int(6))
+            .unwrap()
+            .project(&["dept"], false)
+            .unwrap()
+            .finish();
+        let depths = |transfer| {
+            let plan = compile(&db, &q, transfer).unwrap();
+            let mut by_op: Vec<(&'static str, usize)> = plan
+                .cells
+                .iter()
+                .map(|c| (c.instr.op_name, c.depth))
+                .collect();
+            by_op.sort();
+            by_op
+        };
+        assert_eq!(
+            depths(TransferMode::Materialize),
+            vec![
+                ("join", 2),
+                ("project", 0),
+                ("restrict", 1),
+                ("restrict", 3)
+            ]
+        );
+        // The restrict→project chain above the join becomes one span at
+        // the chain top's depth; the join and its leg do not move up.
+        assert_eq!(
+            depths(TransferMode::Pipeline),
+            vec![("join", 2), ("restrict", 3), ("span", 0)]
+        );
     }
 
     #[test]
@@ -373,8 +273,8 @@ mod tests {
         let q = TreeBuilder::new(&db)
             .delete_where("emp", "id", CmpOp::Eq, Value::Int(0))
             .unwrap();
-        let err = QueryPlan::build(&db, &q, 1024, JoinAlgo::Nested, TransferMode::Materialize)
-            .unwrap_err();
+        let err = compile(&db, &q, TransferMode::Materialize).unwrap_err();
         assert!(err.to_string().contains("read-only"));
+        assert!(matches!(err, HostError::ReadOnlyExecutor { op } if op == "delete"));
     }
 }

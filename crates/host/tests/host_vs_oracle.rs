@@ -4,7 +4,7 @@
 
 use df_core::AllocationStrategy;
 use df_host::{run_host_queries, run_host_query, HostParams};
-use df_query::{execute_readonly, ExecParams, QueryTree};
+use df_query::{execute_readonly, parse_query, ExecParams, QueryTree};
 use df_relalg::Catalog;
 use df_sim::rng::SimRng;
 use df_workload::{benchmark_queries, generate_database, random_query, BenchmarkSpec};
@@ -66,7 +66,9 @@ fn ten_queries_match_oracle_at_all_worker_counts_and_strategies() {
 /// holds shared locks concurrently) still matches per-query runs.
 #[test]
 fn batch_metrics_are_consistent() {
-    let (db, queries, _) = setup(0.01);
+    let (db, mut queries, _) = setup(0.01);
+    // A bare scan root fires no unit: the relation's pages are the result.
+    queries.push(parse_query(&db, "(scan r03)").expect("parses"));
     let params = HostParams::with_workers(4);
     let out = run_host_queries(&db, &queries, &params).expect("host executes");
 
@@ -86,6 +88,10 @@ fn batch_metrics_are_consistent() {
         );
         assert!(q.elapsed <= out.metrics.elapsed);
     }
+    let bare = out.metrics.per_query.last().expect("bare scan ran");
+    assert_eq!(bare.units_fired, 0, "a bare scan fires no unit");
+    assert_eq!(bare.pages_moved, 0);
+    assert_eq!(bare.result_tuples, db.get("r03").expect("r03").num_tuples());
     assert!(out.metrics.total_bytes() > 0);
 }
 

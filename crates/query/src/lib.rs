@@ -58,7 +58,7 @@ pub use exec::{
     apply_write, execute, execute_read_nodes, execute_readonly, stage_write, ExecParams,
     JoinAlgorithm, WriteDelta,
 };
-pub use parser::parse_query;
+pub use parser::{parse_query, MAX_QUERY_DEPTH};
 pub use render::render_tree;
 pub use tree::{NodeId, Op, QueryNode, QueryTree};
 pub use validate::{validate, NodeSchemas};

@@ -19,8 +19,8 @@ pub use join::{
 pub use project::{dedup_tuples, project_page, project_page_raw};
 pub use restrict::{restrict_page, restrict_page_raw};
 pub use set_ops::{
-    cross_pages, cross_pages_raw, dedup_pages_raw, difference_pages_raw, difference_relations,
-    union_pages_raw, union_relations,
+    cross_pages, cross_pages_raw, dedup_raw, difference_raw, difference_relations, union_raw,
+    union_relations,
 };
 pub use span::{span_output_schema, span_page, span_page_raw, SpanStep};
 

@@ -2,7 +2,7 @@
 
 use std::collections::HashSet;
 
-use df_relalg::{Error, Page, Relation, Result, Schema, Tuple, TupleBuf};
+use df_relalg::{Error, Page, Relation, Result, Schema, Tuple, TupleBuf, TupleRef};
 
 /// Cross product of one page pair (the join kernel with θ ≡ true, kept
 /// separate so metrics can distinguish the operators).
@@ -32,18 +32,22 @@ pub fn cross_pages_raw(outer: &Page, inner: &Page, out_schema: &Schema) -> Tuple
     out
 }
 
-/// Zero-copy set union over complete page lists: membership hashes the raw
-/// tuple images (the encoding is canonical — images are equal exactly when
-/// tuples are), so nothing is decoded. First-occurrence order, like
-/// [`union_relations`].
-pub fn union_pages_raw(left: &[&Page], right: &[&Page], schema: &Schema) -> TupleBuf {
+/// Zero-copy set union over two complete operand streams: membership
+/// hashes the raw tuple images (the encoding is canonical — images are
+/// equal exactly when tuples are), so nothing is decoded. First-occurrence
+/// order, like [`union_relations`].
+///
+/// Operands are tuple streams rather than page lists so a caller can
+/// partition them on the fly (the simulators' hash-bucketed finalizers)
+/// without copying images.
+pub fn union_raw<'a>(
+    left: impl IntoIterator<Item = TupleRef<'a>>,
+    right: impl IntoIterator<Item = TupleRef<'a>>,
+    schema: &Schema,
+) -> TupleBuf {
     let mut seen: HashSet<&[u8]> = HashSet::new();
     let mut out = TupleBuf::new(schema.clone());
-    for t in left
-        .iter()
-        .flat_map(|p| p.tuple_refs())
-        .chain(right.iter().flat_map(|p| p.tuple_refs()))
-    {
+    for t in left.into_iter().chain(right) {
         if seen.insert(t.raw()) {
             out.push_ref(&t);
         }
@@ -51,17 +55,17 @@ pub fn union_pages_raw(left: &[&Page], right: &[&Page], schema: &Schema) -> Tupl
     out
 }
 
-/// Zero-copy set difference `left − right` over complete page lists, with
-/// raw-image hashing like [`union_pages_raw`].
-pub fn difference_pages_raw(left: &[&Page], right: &[&Page], schema: &Schema) -> TupleBuf {
-    let exclude: HashSet<&[u8]> = right
-        .iter()
-        .flat_map(|p| p.tuple_refs())
-        .map(|t| t.raw())
-        .collect();
+/// Zero-copy set difference `left − right` over complete operand streams,
+/// with raw-image hashing like [`union_raw`].
+pub fn difference_raw<'a>(
+    left: impl IntoIterator<Item = TupleRef<'a>>,
+    right: impl IntoIterator<Item = TupleRef<'a>>,
+    schema: &Schema,
+) -> TupleBuf {
+    let exclude: HashSet<&[u8]> = right.into_iter().map(|t| t.raw()).collect();
     let mut seen: HashSet<&[u8]> = HashSet::new();
     let mut out = TupleBuf::new(schema.clone());
-    for t in left.iter().flat_map(|p| p.tuple_refs()) {
+    for t in left {
         if !exclude.contains(t.raw()) && seen.insert(t.raw()) {
             out.push_ref(&t);
         }
@@ -69,12 +73,13 @@ pub fn difference_pages_raw(left: &[&Page], right: &[&Page], schema: &Schema) ->
     out
 }
 
-/// Zero-copy duplicate elimination over complete page lists (raw-image
-/// hashing, first-occurrence order) — the π-dedup finalizer's hot path.
-pub fn dedup_pages_raw(pages: &[&Page], schema: &Schema) -> TupleBuf {
+/// Zero-copy duplicate elimination over a complete tuple stream
+/// (raw-image hashing, first-occurrence order) — the π-dedup finalizer's
+/// hot path.
+pub fn dedup_raw<'a>(tuples: impl IntoIterator<Item = TupleRef<'a>>, schema: &Schema) -> TupleBuf {
     let mut seen: HashSet<&[u8]> = HashSet::new();
     let mut out = TupleBuf::new(schema.clone());
-    for t in pages.iter().flat_map(|p| p.tuple_refs()) {
+    for t in tuples {
         if seen.insert(t.raw()) {
             out.push_ref(&t);
         }
@@ -175,15 +180,15 @@ mod tests {
         let ap: Vec<&df_relalg::Page> = a.pages().iter().map(|p| p.as_ref()).collect();
         let bp: Vec<&df_relalg::Page> = b.pages().iter().map(|p| p.as_ref()).collect();
         assert_eq!(
-            union_pages_raw(&ap, &bp, &s).to_tuples(),
+            union_raw(a.tuple_refs(), b.tuple_refs(), &s).to_tuples(),
             union_relations(&a, &b).unwrap()
         );
         assert_eq!(
-            difference_pages_raw(&ap, &bp, &s).to_tuples(),
+            difference_raw(a.tuple_refs(), b.tuple_refs(), &s).to_tuples(),
             difference_relations(&a, &b).unwrap()
         );
         assert_eq!(
-            dedup_pages_raw(&ap, &s).to_tuples(),
+            dedup_raw(a.tuple_refs(), &s).to_tuples(),
             crate::ops::dedup_tuples(a.tuples())
         );
         // Cross product, raw vs decoded.

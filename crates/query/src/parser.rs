@@ -30,11 +30,22 @@ use df_relalg::{Catalog, CmpOp, Error, Predicate, Result, Schema, Value};
 use crate::builder::{SubTree, TreeBuilder};
 use crate::tree::QueryTree;
 
+/// Deepest parenthesis nesting [`parse_query`] accepts. The parser and the
+/// compiler recurse once per level, so the bound keeps any input — however
+/// hostile — within a small thread stack; real queries nest a few dozen
+/// levels at most.
+pub const MAX_QUERY_DEPTH: usize = 256;
+
 /// Parse and compile a query against `db`.
+///
+/// # Errors
+/// [`Error::Syntax`] for text that does not parse, including nesting
+/// deeper than [`MAX_QUERY_DEPTH`]; schema and catalog errors for a query
+/// that parses but does not compile.
 pub fn parse_query(db: &Catalog, input: &str) -> Result<QueryTree> {
     let tokens = tokenize(input)?;
     let mut p = Parser { tokens, pos: 0 };
-    let sexpr = p.parse_sexpr()?;
+    let sexpr = p.parse_sexpr(0)?;
     if p.pos != p.tokens.len() {
         return Err(syntax(format!(
             "trailing input after query: `{}`",
@@ -45,9 +56,7 @@ pub fn parse_query(db: &Catalog, input: &str) -> Result<QueryTree> {
 }
 
 fn syntax(detail: String) -> Error {
-    Error::Corrupt {
-        detail: format!("query syntax: {detail}"),
-    }
+    Error::Syntax { detail }
 }
 
 // ---------------------------------------------------------------- tokenizer
@@ -122,7 +131,8 @@ struct Parser {
 }
 
 impl Parser {
-    fn parse_sexpr(&mut self) -> Result<SExpr> {
+    /// Parse one s-expression whose enclosing lists nest `depth` deep.
+    fn parse_sexpr(&mut self, depth: usize) -> Result<SExpr> {
         let tok = self
             .tokens
             .get(self.pos)
@@ -130,6 +140,9 @@ impl Parser {
             .clone();
         self.pos += 1;
         match tok.as_str() {
+            "(" if depth == MAX_QUERY_DEPTH => Err(syntax(format!(
+                "query nests deeper than {MAX_QUERY_DEPTH} levels"
+            ))),
             "(" => {
                 let mut items = Vec::new();
                 loop {
@@ -138,7 +151,7 @@ impl Parser {
                             self.pos += 1;
                             return Ok(SExpr::List(items));
                         }
-                        Some(_) => items.push(self.parse_sexpr()?),
+                        Some(_) => items.push(self.parse_sexpr(depth + 1)?),
                         None => return Err(syntax("unbalanced `(`".into())),
                     }
                 }
@@ -451,6 +464,39 @@ mod tests {
         ] {
             assert!(parse_query(&db, bad).is_err(), "should reject: {bad}");
         }
+        // Malformed text is a typed syntax error, not a data error.
+        for bad in ["(scan emp", "(scan emp))", "(", ")"] {
+            assert!(
+                matches!(parse_query(&db, bad), Err(Error::Syntax { .. })),
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_typed_error() {
+        // 100,000 open parens used to recurse once each and overflow the
+        // stack; on a 2 MiB thread the bound must turn that into an Err.
+        let deep = "(".repeat(100_000);
+        let outcome = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse_query(&db(), &deep))
+            .unwrap()
+            .join()
+            .expect("parser must not overflow the stack");
+        assert!(matches!(outcome, Err(Error::Syntax { .. })), "{outcome:?}");
+        // Nesting right at the bound still parses up to the grammar.
+        let mut q = "(scan emp)".to_string();
+        for _ in 1..MAX_QUERY_DEPTH - 1 {
+            q = format!("(restrict {q} true)");
+        }
+        let tree = parse_query(&db(), &format!("(restrict {q} (> id 0))")).unwrap();
+        assert_eq!(tree.len(), MAX_QUERY_DEPTH);
+        let too_deep = format!("(restrict (restrict {q} true) (> id 0))");
+        assert!(matches!(
+            parse_query(&db(), &too_deep),
+            Err(Error::Syntax { .. })
+        ));
     }
 
     #[test]

@@ -2,13 +2,12 @@
 //! that must hold for arbitrary data, plus kernel/oracle agreement.
 
 use df_query::ops::{
-    cross_pages, cross_pages_raw, dedup_pages_raw, dedup_tuples, difference_pages_raw,
-    difference_relations, join_pages, join_pages_raw, merge_join_relations,
-    nested_loops_join_relations, project_page, project_page_raw, restrict_page, restrict_page_raw,
-    union_pages_raw, union_relations,
+    cross_pages, cross_pages_raw, dedup_raw, dedup_tuples, difference_raw, difference_relations,
+    join_pages, join_pages_raw, merge_join_relations, nested_loops_join_relations, project_page,
+    project_page_raw, restrict_page, restrict_page_raw, union_raw, union_relations,
 };
 use df_relalg::{
-    CmpOp, DataType, JoinCondition, Page, Predicate, Projection, Relation, Schema, Tuple, Value,
+    CmpOp, DataType, JoinCondition, Predicate, Projection, Relation, Schema, Tuple, Value,
 };
 use proptest::prelude::*;
 
@@ -287,17 +286,15 @@ proptest! {
         let l = mixed_relation(&left);
         let r = mixed_relation(&right);
         let s = l.schema().clone();
-        let lp: Vec<&Page> = l.pages().iter().map(|p| p.as_ref()).collect();
-        let rp: Vec<&Page> = r.pages().iter().map(|p| p.as_ref()).collect();
         prop_assert_eq!(
-            union_pages_raw(&lp, &rp, &s).to_tuples(),
+            union_raw(l.tuple_refs(), r.tuple_refs(), &s).to_tuples(),
             union_relations(&l, &r).unwrap()
         );
         prop_assert_eq!(
-            difference_pages_raw(&lp, &rp, &s).to_tuples(),
+            difference_raw(l.tuple_refs(), r.tuple_refs(), &s).to_tuples(),
             difference_relations(&l, &r).unwrap()
         );
-        prop_assert_eq!(dedup_pages_raw(&lp, &s).to_tuples(), dedup_tuples(l.tuples()));
+        prop_assert_eq!(dedup_raw(l.tuple_refs(), &s).to_tuples(), dedup_tuples(l.tuples()));
     }
 
     /// dedup is idempotent and order-preserving on first occurrences.

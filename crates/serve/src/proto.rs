@@ -25,25 +25,35 @@ use df_host::HostError;
 /// prefix fails the connection instead of allocating unbounded memory.
 pub const MAX_FRAME: usize = 64 << 20;
 
-/// Write one length-prefixed frame.
+/// Build one length-prefixed frame — the 4-byte big-endian length, then
+/// the payload — in a single buffer, for one coalesced write. Not
+/// prefix-then-payload: two small writes on a TCP stream interact with
+/// Nagle + delayed ACK — the payload sits in the kernel until the peer
+/// acknowledges the 4-byte prefix, a ~40 ms stall per frame on Linux
+/// defaults.
 ///
 /// # Errors
-/// Propagates I/O errors; rejects payloads over [`MAX_FRAME`].
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+/// Rejects payloads over [`MAX_FRAME`] with [`io::ErrorKind::InvalidData`]
+/// (the bound also keeps every length within the `u32` prefix).
+pub fn encode_frame(payload: &[u8]) -> io::Result<Vec<u8>> {
     if payload.len() > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("frame of {} bytes exceeds MAX_FRAME", payload.len()),
         ));
     }
-    // One coalesced write, not prefix-then-payload: two small writes on
-    // a TCP stream interact with Nagle + delayed ACK — the payload sits
-    // in the kernel until the peer acknowledges the 4-byte prefix, a
-    // ~40 ms stall per frame on Linux defaults.
     let mut frame = Vec::with_capacity(4 + payload.len());
     frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
+    Ok(frame)
+}
+
+/// Write one length-prefixed frame ([`encode_frame`]).
+///
+/// # Errors
+/// Propagates I/O errors; rejects payloads over [`MAX_FRAME`].
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    w.write_all(&encode_frame(payload)?)?;
     w.flush()
 }
 
@@ -493,6 +503,12 @@ pub enum ServeError {
         /// What went wrong.
         detail: String,
     },
+    /// The reply to this request encoded to more than [`MAX_FRAME`] bytes,
+    /// so it was not sent; the connection stays usable.
+    TooLarge {
+        /// Payload size of the reply that was withheld.
+        bytes: u64,
+    },
 }
 
 impl ServeError {
@@ -528,6 +544,10 @@ impl ServeError {
                 out.push(5);
                 put_bytes(out, detail.as_bytes());
             }
+            ServeError::TooLarge { bytes } => {
+                out.push(6);
+                out.extend_from_slice(&bytes.to_be_bytes());
+            }
         }
     }
 
@@ -548,6 +568,7 @@ impl ServeError {
             5 => ServeError::View {
                 detail: r.string()?,
             },
+            6 => ServeError::TooLarge { bytes: r.u64()? },
             other => return Err(DecodeError::new(format!("bad serve error code {other}"))),
         })
     }
@@ -566,6 +587,10 @@ impl fmt::Display for ServeError {
             ServeError::Protocol { detail } => write!(f, "protocol error: {detail}"),
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::View { detail } => write!(f, "view error: {detail}"),
+            ServeError::TooLarge { bytes } => write!(
+                f,
+                "reply too large: {bytes} bytes exceeds the {MAX_FRAME}-byte frame limit"
+            ),
         }
     }
 }
@@ -742,6 +767,12 @@ mod tests {
                 detail: "view `hot` is not installed".into(),
             },
         });
+        round_trip_response(Response::Error {
+            id: 7,
+            error: ServeError::TooLarge {
+                bytes: MAX_FRAME as u64 + 1,
+            },
+        });
         round_trip_response(Response::Stats(vec![
             ("submitted".into(), 10),
             ("fused".into(), 4),
@@ -767,6 +798,11 @@ mod tests {
         len.extend_from_slice(&[0; 16]);
         let mut r = &len[..];
         assert!(read_frame(&mut r).is_err());
+        // The encoder refuses them too, before any byte is written.
+        let mut out: Vec<u8> = Vec::new();
+        assert!(write_frame(&mut out, &vec![0; MAX_FRAME + 1]).is_err());
+        assert!(out.is_empty());
+        assert_eq!(encode_frame(&[7; 3]).unwrap(), vec![0, 0, 0, 3, 7, 7, 7]);
     }
 
     #[test]

@@ -41,7 +41,7 @@ use std::time::Duration;
 use df_obs::{Path, Tracer};
 
 use crate::engine::{Engine, EngineHandle};
-use crate::proto::{read_frame, Request, Response, ServeError, MAX_FRAME};
+use crate::proto::{encode_frame, read_frame, Request, Response, ServeError, MAX_FRAME};
 #[cfg(unix)]
 use crate::sys;
 
@@ -65,13 +65,8 @@ struct ClientWriter {
 }
 
 impl ClientWriter {
-    /// Write one length-prefixed frame, riding out partial writes.
-    fn send_frame(&mut self, payload: &[u8]) -> io::Result<()> {
-        // One coalesced buffer for the same Nagle/delayed-ACK reason as
-        // `proto::write_frame`.
-        let mut frame = Vec::with_capacity(4 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        frame.extend_from_slice(payload);
+    /// Write one whole frame ([`encode_frame`]), riding out partial writes.
+    fn send_frame(&mut self, frame: &[u8]) -> io::Result<()> {
         let mut off = 0;
         while off < frame.len() {
             match self.stream.write(&frame[off..]) {
@@ -101,24 +96,44 @@ struct ServerShared {
     listener: TcpListener,
 }
 
+/// Encode `response` as one frame. A reply too large to frame is replaced
+/// by a [`ServeError::TooLarge`] error for the same request id: the client
+/// learns why, and the stream stays in step (a truncated or wrapped length
+/// prefix would desynchronize every later frame on the connection).
+fn response_frame(response: &Response) -> Vec<u8> {
+    let payload = response.encode();
+    encode_frame(&payload).unwrap_or_else(|_| {
+        let id = match response {
+            Response::Result(r) => r.id,
+            Response::Error { id, .. } => *id,
+            Response::Stats(_) | Response::Relations(_) | Response::Ok => 0,
+        };
+        let error = ServeError::TooLarge {
+            bytes: payload.len() as u64,
+        };
+        encode_frame(&Response::Error { id, error }.encode()).expect("an error reply fits a frame")
+    })
+}
+
 impl ServerShared {
     /// Encode and write one response frame, tallying outbound bytes.
     /// Write errors mean the client vanished; the reader thread will
     /// notice on its side, so they are swallowed here.
     fn send(&self, writer: &Mutex<ClientWriter>, client: usize, response: &Response) {
-        let payload = response.encode();
+        let frame = response_frame(response);
+        let payload_len = (frame.len() - 4) as u64;
         self.handle
             .stats()
             .bytes_out
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
+            .fetch_add(payload_len, Ordering::Relaxed);
         if let Some(t) = &self.trace {
-            t.transfer(Path::ClientOut, client as u32, payload.len() as u64);
+            t.transfer(Path::ClientOut, client as u32, payload_len);
         }
         // Poison recovery: a panicking writer leaves at worst a torn
         // frame on one client's socket (that client's reader then drops
         // the connection); other threads keep answering their clients.
         let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = w.send_frame(&payload);
+        let _ = w.send_frame(&frame);
     }
 
     /// Begin server shutdown: stop admitting, wake the acceptor, let the
@@ -561,4 +576,46 @@ fn drain_mux_conn(conn: &mut MuxConn, shared: &Arc<ServerShared>) -> bool {
         }
     }
     open
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn oversized_reply_becomes_too_large_and_the_stream_stays_in_step() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        let mut writer = ClientWriter { stream };
+        // A reply whose payload exceeds MAX_FRAME, then an ordinary one on
+        // the same connection, read on another thread so neither write
+        // can wait on a full socket buffer.
+        let huge = Response::Error {
+            id: 7,
+            error: ServeError::Parse {
+                detail: "x".repeat(MAX_FRAME),
+            },
+        };
+        let reader = thread::spawn(move || {
+            let mut next = || {
+                let payload = read_frame(&mut client).expect("read").expect("frame");
+                Response::decode(&payload).expect("decodes")
+            };
+            (next(), next())
+        });
+        writer.send_frame(&response_frame(&huge)).expect("send");
+        writer
+            .send_frame(&response_frame(&Response::Ok))
+            .expect("send");
+        let (first, second) = reader.join().expect("reader");
+        match first {
+            Response::Error {
+                id: 7,
+                error: ServeError::TooLarge { bytes },
+            } => assert!(bytes > MAX_FRAME as u64, "{bytes}"),
+            other => panic!("expected TooLarge for id 7, got {other:?}"),
+        }
+        assert_eq!(second, Response::Ok, "the next frame is intact");
+    }
 }

@@ -1072,6 +1072,49 @@ fn lane_panic_is_contained_to_its_task() {
 }
 
 #[test]
+fn deeply_nested_query_is_a_parse_error_not_a_crash() {
+    // The dispatcher parses on its own thread; a ~100 KB request of open
+    // parens used to recurse once per `(` and overflow that thread's
+    // stack, taking the whole server down.
+    let db = small_db();
+    let config = test_config();
+    let text = "(restrict (scan r05) (< val 500))";
+    let want = oracle_tuples(&db, text, config.host.page_size);
+    let engine = Engine::new(db, config).expect("engine");
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let server = Server::start(listener, engine).expect("server");
+    let addr = server.local_addr();
+
+    let answer = |client: &mut ServeClient| match client
+        .query(text, Priority::Normal, false)
+        .expect("query")
+    {
+        Response::Result(r) => {
+            let mut tuples = r.tuples;
+            tuples.sort();
+            tuples
+        }
+        other => panic!("unexpected response {other:?}"),
+    };
+    let mut client = ServeClient::connect(addr).expect("connect");
+    match client
+        .query(&"(".repeat(100_000), Priority::Normal, false)
+        .expect("deep query is answered")
+    {
+        Response::Error {
+            error: ServeError::Parse { detail },
+            ..
+        } => assert!(detail.contains("deeper than"), "{detail}"),
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+    assert_eq!(answer(&mut client), want, "same client still served");
+    let mut fresh = ServeClient::connect(addr).expect("connect");
+    assert_eq!(answer(&mut fresh), want, "fresh client still served");
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn shutdown_with_zero_clients_does_not_hang() {
     // The old implementation woke the acceptor by connecting to itself —
     // racy with real clients and dependent on the connect succeeding.
